@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "algebra/vectorized.h"
+#include "common/hash.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
 #include "obs/stats.h"
@@ -57,6 +58,31 @@ void RecordOperatorMetrics(PlanKind kind, std::uint64_t evals,
 }
 
 }  // namespace internal
+
+std::uint64_t PlanNode::FingerprintHash() const {
+  if (fingerprint_ready_.load(std::memory_order_acquire)) {
+    return fingerprint_hash_;
+  }
+  // Double-checked under a per-node mutex rather than std::call_once:
+  // glibc's pthread_once issues a futex wake syscall on every first call,
+  // and the optimizer fingerprints many freshly built nodes.
+  std::lock_guard<std::mutex> lock(fingerprint_mu_);
+  if (!fingerprint_ready_.load(std::memory_order_relaxed)) {
+    static obs::Counter* const renders =
+        &obs::MetricsRegistry::Global().GetCounter(
+            "serena.stats.fingerprint_renders");
+    // Kind is prefixed separately: two operators could in principle
+    // render identically while differing in kind, and the prefix keeps
+    // the fingerprint honest if a ToString ever becomes ambiguous.
+    std::string key = PlanKindToString(kind());
+    key.push_back('|');
+    key += ToString();
+    fingerprint_hash_ = StableHash(key);
+    renders->Increment();
+    fingerprint_ready_.store(true, std::memory_order_release);
+  }
+  return fingerprint_hash_;
+}
 
 Result<XRelation> PlanNode::EvaluateDispatch(EvalContext& ctx) const {
   // Tracing forces the scalar path: a fused pipeline would collapse the

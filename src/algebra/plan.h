@@ -1,7 +1,10 @@
 #ifndef SERENA_ALGEBRA_PLAN_H_
 #define SERENA_ALGEBRA_PLAN_H_
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -195,6 +198,14 @@ class PlanNode {
     return ToString() == other.ToString();
   }
 
+  /// The operator's stable fingerprint: `StableHash` of the kind name, a
+  /// `|` and the rendered subtree (`obs::OperatorFingerprint` formats it
+  /// as 16 hex digits). Nodes are immutable, so the subtree is rendered
+  /// once, on first use, and the hash is reused for the node's lifetime;
+  /// concurrent first calls render once and all see the same value. Each
+  /// render bumps the `serena.stats.fingerprint_renders` counter.
+  std::uint64_t FingerprintHash() const;
+
  protected:
   explicit PlanNode(PlanKind kind) : kind_(kind) {}
 
@@ -208,6 +219,9 @@ class PlanNode {
   Result<XRelation> EvaluateDispatch(EvalContext& ctx) const;
 
   PlanKind kind_;
+  mutable std::mutex fingerprint_mu_;
+  mutable std::atomic<bool> fingerprint_ready_{false};
+  mutable std::uint64_t fingerprint_hash_ = 0;
 };
 
 // ---------------------------------------------------------------------------

@@ -160,10 +160,20 @@ Gauge& MetricsRegistry::GetGauge(const std::string& name) {
 }
 
 Histogram& MetricsRegistry::GetHistogram(const std::string& name) {
+  return *ShareHistogram(name);
+}
+
+std::shared_ptr<Histogram> MetricsRegistry::ShareHistogram(
+    const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = histograms_[name];
-  if (slot == nullptr) slot = std::make_unique<Histogram>();
-  return *slot;
+  if (slot == nullptr) slot = std::make_shared<Histogram>();
+  return slot;
+}
+
+void MetricsRegistry::RemoveHistogram(const std::string& name) {
+  std::lock_guard<std::mutex> lock(mu_);
+  histograms_.erase(name);
 }
 
 const Counter* MetricsRegistry::FindCounter(const std::string& name) const {

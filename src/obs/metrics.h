@@ -154,6 +154,15 @@ class MetricsRegistry {
   Counter& GetCounter(const std::string& name);
   Gauge& GetGauge(const std::string& name);
   Histogram& GetHistogram(const std::string& name);
+  /// `GetHistogram` for an instrument whose name is tied to something
+  /// that can go away (a continuous query): the caller shares ownership,
+  /// so the instrument stays valid for it even after `RemoveHistogram`.
+  std::shared_ptr<Histogram> ShareHistogram(const std::string& name);
+  /// Drops `name` from the registry (no-op when absent); a later Get or
+  /// Share starts a fresh, empty histogram. Only for names handed out
+  /// through `ShareHistogram` — a `GetHistogram` reference dangles
+  /// afterwards.
+  void RemoveHistogram(const std::string& name);
 
   /// nullptr when no instrument of that kind has the name.
   const Counter* FindCounter(const std::string& name) const;
@@ -183,10 +192,11 @@ class MetricsRegistry {
  private:
   std::atomic<bool> enabled_;
   mutable std::mutex mu_;
-  // std::map: sorted JSON export; unique_ptr: stable addresses.
+  // std::map: sorted JSON export; unique_ptr: stable addresses;
+  // shared_ptr: removable histograms outlive their registry entry.
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  std::map<std::string, std::shared_ptr<Histogram>> histograms_;
 };
 
 /// RAII latency sample: records the elapsed nanoseconds into `histogram`

@@ -72,17 +72,37 @@ OperatorStats ReadOperator(const JsonValue& value) {
   return op;
 }
 
+/// `hash` as the 16 lowercase hex digits of a fingerprint key.
+std::string FormatFingerprint(std::uint64_t hash) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out(16, '0');
+  for (int i = 15; i >= 0; --i, hash >>= 4) out[i] = kDigits[hash & 0xf];
+  return out;
+}
+
+/// Inverse of FormatFingerprint; nullopt for anything that is not
+/// exactly 16 lowercase hex digits (no operator can have such a key).
+std::optional<std::uint64_t> ParseFingerprint(const std::string& text) {
+  if (text.size() != 16) return std::nullopt;
+  std::uint64_t hash = 0;
+  for (const char c : text) {
+    std::uint64_t digit;
+    if (c >= '0' && c <= '9') {
+      digit = static_cast<std::uint64_t>(c - '0');
+    } else if (c >= 'a' && c <= 'f') {
+      digit = static_cast<std::uint64_t>(c - 'a' + 10);
+    } else {
+      return std::nullopt;
+    }
+    hash = (hash << 4) | digit;
+  }
+  return hash;
+}
+
 }  // namespace
 
 std::string OperatorFingerprint(const PlanNode& node) {
-  // Kind is prefixed separately: two operators could in principle render
-  // identically while differing in kind, and the prefix keeps the
-  // fingerprint honest if a ToString ever becomes ambiguous.
-  std::string key = PlanKindToString(node.kind());
-  key.push_back('|');
-  key += node.ToString();
-  return StringFormat("%016llx",
-                      static_cast<unsigned long long>(StableHash(key)));
+  return FormatFingerprint(node.FingerprintHash());
 }
 
 StatsStore::StatsStore() {
@@ -101,10 +121,11 @@ StatsStore& StatsStore::Global() {
 
 void StatsStore::RecordPlan(const PlanNode& root,
                             const PlanStatsCollector& collector) {
-  // Collect the merge outside the lock; fingerprinting renders each
-  // subtree and is the expensive part.
+  // Walk the plan outside the lock. Fingerprints are cached on the nodes,
+  // so after a node's first use the walk renders nothing.
   struct Update {
     const PlanNode* node;
+    std::uint64_t fingerprint;
     const NodeRuntimeStats* stats;
     std::uint64_t rows_in;
   };
@@ -125,17 +146,20 @@ void StatsStore::RecordPlan(const PlanNode& root,
       pending.push_back(child.get());
     }
     if (const NodeRuntimeStats* stats = collector.Find(node)) {
-      if (stats->evals > 0) updates.push_back({node, stats, rows_in});
+      if (stats->evals > 0) {
+        updates.push_back({node, node->FingerprintHash(), stats, rows_in});
+      }
     }
   }
   if (updates.empty()) return;
 
   std::lock_guard<std::mutex> lock(mu_);
   for (const Update& update : updates) {
-    const std::string fingerprint = OperatorFingerprint(*update.node);
-    OperatorStats& op = operators_[fingerprint];
+    OperatorStats& op = operators_[update.fingerprint];
     if (op.fingerprint.empty()) {
-      op.fingerprint = fingerprint;
+      // First record of this fingerprint in the store: the only time
+      // recording renders the operator (for its label).
+      op.fingerprint = FormatFingerprint(update.fingerprint);
       op.kind = PlanKindToString(update.node->kind());
       op.label = TruncatedLabel(update.node->ToString());
       op.prototype = NodePrototype(*update.node);
@@ -158,42 +182,47 @@ std::vector<OperatorStats> StatsStore::Snapshot() const {
     out.reserve(operators_.size());
     for (const auto& [fingerprint, op] : operators_) out.push_back(op);
   }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const OperatorStats& a, const OperatorStats& b) {
-                     return a.wall_ns > b.wall_ns;
-                   });
+  // Ties (e.g. untimed records) fall back to fingerprint order, so the
+  // snapshot is deterministic for a given workload.
+  std::sort(out.begin(), out.end(),
+            [](const OperatorStats& a, const OperatorStats& b) {
+              if (a.wall_ns != b.wall_ns) return a.wall_ns > b.wall_ns;
+              return a.fingerprint < b.fingerprint;
+            });
   return out;
 }
 
 std::optional<OperatorStats> StatsStore::Find(
     const std::string& fingerprint) const {
+  const std::optional<std::uint64_t> key = ParseFingerprint(fingerprint);
+  if (!key.has_value()) return std::nullopt;
   std::lock_guard<std::mutex> lock(mu_);
-  const OperatorStats* stats = FindAliased(operators_, fingerprint);
+  const OperatorStats* stats = FindAliased(operators_, *key);
   if (stats == nullptr) return std::nullopt;
   return *stats;
 }
 
-const OperatorStats* StatsStore::FindAliased(
-    const std::map<std::string, OperatorStats>& map,
-    const std::string& fingerprint) const {
-  const std::string* key = &fingerprint;
+const OperatorStats* StatsStore::FindAliased(const OperatorMap& map,
+                                             std::uint64_t fingerprint) const {
   // Bounded alias-chain walk: re-optimized re-optimizations may alias an
   // alias; a cycle (impossible by construction, cheap to guard) stops.
   for (int hops = 0; hops < 8; ++hops) {
-    const auto it = map.find(*key);
+    const auto it = map.find(fingerprint);
     if (it != map.end()) return &it->second;
-    const auto alias = aliases_.find(*key);
+    const auto alias = aliases_.find(fingerprint);
     if (alias == aliases_.end()) return nullptr;
-    key = &alias->second;
+    fingerprint = alias->second;
   }
   return nullptr;
 }
 
 void StatsStore::AddFingerprintAlias(const std::string& alias,
                                      const std::string& target) {
-  if (alias == target) return;
+  const std::optional<std::uint64_t> from = ParseFingerprint(alias);
+  const std::optional<std::uint64_t> to = ParseFingerprint(target);
+  if (!from.has_value() || !to.has_value() || *from == *to) return;
   std::lock_guard<std::mutex> lock(mu_);
-  aliases_[alias] = target;
+  aliases_[*from] = *to;
 }
 
 std::size_t StatsStore::alias_count() const {
@@ -213,8 +242,10 @@ bool StatsStore::has_baseline() const {
 
 std::optional<OperatorStats> StatsStore::FindBaseline(
     const std::string& fingerprint) const {
+  const std::optional<std::uint64_t> key = ParseFingerprint(fingerprint);
+  if (!key.has_value()) return std::nullopt;
   std::lock_guard<std::mutex> lock(mu_);
-  const OperatorStats* stats = FindAliased(baseline_, fingerprint);
+  const OperatorStats* stats = FindAliased(baseline_, *key);
   if (stats == nullptr) return std::nullopt;
   return *stats;
 }
@@ -278,10 +309,17 @@ std::string StatsStore::ToJson() const {
   json.BeginObject();
   json.Key("schema_version").Value(std::int64_t{1});
   json.Key("operators").BeginArray();
-  // std::map iteration order — stable across runs for a given workload.
+  // Fingerprint order — stable across runs for a given workload.
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [fingerprint, op] : operators_) WriteOperator(json, op);
+    std::vector<const OperatorStats*> ordered;
+    ordered.reserve(operators_.size());
+    for (const auto& [fingerprint, op] : operators_) ordered.push_back(&op);
+    std::sort(ordered.begin(), ordered.end(),
+              [](const OperatorStats* a, const OperatorStats* b) {
+                return a->fingerprint < b->fingerprint;
+              });
+    for (const OperatorStats* op : ordered) WriteOperator(json, *op);
   }
   json.EndArray();
   json.Key("services").BeginArray();
@@ -331,12 +369,13 @@ Status StatsStore::LoadBaselineFromJson(std::string_view json) {
   if (operators == nullptr || !operators->is_array()) {
     return Status::InvalidArgument("stats document has no operators array");
   }
-  std::map<std::string, OperatorStats> baseline;
+  OperatorMap baseline;
   for (const JsonValue& entry : operators->array()) {
     if (!entry.is_object()) continue;
     OperatorStats op = ReadOperator(entry);
-    if (op.fingerprint.empty()) continue;
-    baseline[op.fingerprint] = std::move(op);
+    const std::optional<std::uint64_t> key = ParseFingerprint(op.fingerprint);
+    if (!key.has_value()) continue;
+    baseline[*key] = std::move(op);
   }
   std::lock_guard<std::mutex> lock(mu_);
   baseline_ = std::move(baseline);

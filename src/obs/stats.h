@@ -2,11 +2,11 @@
 #define SERENA_OBS_STATS_H_
 
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -98,9 +98,11 @@ struct BetaLatencyProfile {
 
 /// The stable fingerprint of a plan operator: a hash of the operator
 /// kind plus its full rendered subtree (`PlanNode::ToString`, which the
-/// algebra parser round-trips). Identical algebra ⇒ identical
-/// fingerprint, across plan instances, processes and runs — the property
-/// that lets a persisted statistics file describe the *next* run's plans.
+/// algebra parser round-trips), as 16 hex digits. Identical algebra ⇒
+/// identical fingerprint, across plan instances, processes and runs — the
+/// property that lets a persisted statistics file describe the *next*
+/// run's plans. The hash is `PlanNode::FingerprintHash`, computed once
+/// per node and cached; only the hex formatting runs per call.
 std::string OperatorFingerprint(const PlanNode& node);
 
 /// The process-wide runtime statistics store ("gen 3" observability):
@@ -115,7 +117,12 @@ std::string OperatorFingerprint(const PlanNode& node);
 /// rewrites it — so consecutive runs see each other's statistics, and
 /// EXPLAIN ANALYZE can annotate observed-vs-last-run deltas.
 ///
-/// Thread-safe; recording takes one mutex per *plan* (not per node).
+/// Thread-safe. `RecordPlan` walks the plan and reads each node's cached
+/// fingerprint hash outside the lock, then takes the mutex once per
+/// *plan* (not per node) for the merge alone: one hash-map update per
+/// evaluated node, plus rendering the label of a fingerprint the store
+/// has not seen before. Records are keyed by the 64-bit hash; the string
+/// API (`Find`, `FindBaseline`, aliases) takes the hex form.
 class StatsStore {
  public:
   StatsStore();
@@ -176,15 +183,16 @@ class StatsStore {
   bool MaybeSaveEnvFile() const;
 
  private:
+  using OperatorMap = std::unordered_map<std::uint64_t, OperatorStats>;
+
   /// `map` resolved through the alias chain; call with `mu_` held.
-  const OperatorStats* FindAliased(
-      const std::map<std::string, OperatorStats>& map,
-      const std::string& fingerprint) const;
+  const OperatorStats* FindAliased(const OperatorMap& map,
+                                   std::uint64_t fingerprint) const;
 
   mutable std::mutex mu_;
-  std::map<std::string, OperatorStats> operators_;
-  std::map<std::string, OperatorStats> baseline_;
-  std::map<std::string, std::string> aliases_;
+  OperatorMap operators_;
+  OperatorMap baseline_;
+  std::unordered_map<std::uint64_t, std::uint64_t> aliases_;
   bool has_baseline_ = false;
 };
 

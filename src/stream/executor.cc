@@ -37,6 +37,10 @@ const ExecutorInstruments& Instruments() {
   return instruments;
 }
 
+std::string StepHistogramName(const std::string& query) {
+  return "serena.executor.query." + query + ".step_ns";
+}
+
 bool Intersects(const std::vector<std::string>& a,
                 const std::vector<std::string>& b) {
   for (const std::string& x : a) {
@@ -108,6 +112,13 @@ Status ContinuousExecutor::Register(ContinuousQueryPtr query) {
 Status ContinuousExecutor::Unregister(const std::string& name) {
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     if (it->query->name() == name) {
+      // The step histogram goes with the query: without this the registry
+      // grows by one histogram per name ever registered, and a later
+      // query of the same name would inherit this one's latencies.
+      if (it->step_histogram != nullptr) {
+        obs::MetricsRegistry::Global().RemoveHistogram(
+            StepHistogramName(name));
+      }
       entries_.erase(it);
       RebuildSchedule();
       health_.Unregister(name);
@@ -217,9 +228,8 @@ Timestamp ContinuousExecutor::Tick() {
       for (const std::size_t i : level) {
         if (entries_[i].step_histogram == nullptr) {
           entries_[i].step_histogram =
-              &obs::MetricsRegistry::Global().GetHistogram(
-                  "serena.executor.query." + entries_[i].query->name() +
-                  ".step_ns");
+              obs::MetricsRegistry::Global().ShareHistogram(
+                  StepHistogramName(entries_[i].query->name()));
         }
       }
     }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -145,8 +146,9 @@ class ContinuousExecutor {
     ContinuousQueryPtr query;
     /// Streams the query's plan reads through Window nodes.
     std::vector<std::string> reads;
-    /// Cached per-query step-latency histogram (resolved lazily).
-    obs::Histogram* step_histogram = nullptr;
+    /// Per-query step-latency histogram (resolved lazily; removed from
+    /// the registry on Unregister).
+    std::shared_ptr<obs::Histogram> step_histogram;
   };
 
   static void CollectWindows(const PlanPtr& plan,

@@ -1,6 +1,6 @@
 #include "types/value.h"
 
-#include <cstdio>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <ostream>
@@ -62,9 +62,14 @@ std::string Value::ToString() const {
     case 1:
       return std::to_string(int_value());
     case 2: {
+      // Exactly printf's "%g" in the C locale (the standard defines
+      // general/precision to_chars that way), without printf's locale and
+      // varargs machinery: plan rendering — and so every operator
+      // fingerprint — formats REAL constants through here.
       char buf[32];
-      std::snprintf(buf, sizeof(buf), "%g", real_value());
-      return buf;
+      const std::to_chars_result end = std::to_chars(
+          buf, buf + sizeof(buf), real_value(), std::chars_format::general, 6);
+      return std::string(buf, end.ptr);
     }
     case 3:
       return "'" + string_value() + "'";

@@ -204,6 +204,45 @@ TEST_F(ContinuousTest, UnregisterStopsQuery) {
   EXPECT_TRUE(scenario_->AllSentMessages().empty());
 }
 
+TEST_F(ContinuousTest, UnregisterRemovesStepHistogram) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const bool was_enabled = registry.enabled();
+  registry.set_enabled(true);
+  executor_->Run(1);  // Registry-wide tick instruments exist from here on.
+  const std::size_t histograms = registry.HistogramNames().size();
+
+  // Churn: every name ever registered used to leave its histogram behind.
+  for (int i = 0; i < 500; ++i) {
+    const std::string name = "churn" + std::to_string(i);
+    ASSERT_TRUE(executor_->Register(std::make_shared<ContinuousQuery>(
+                                        name, Window("temperatures", 1)))
+                    .ok());
+    executor_->Run(1);
+    ASSERT_NE(registry.FindHistogram("serena.executor.query." + name +
+                                     ".step_ns"),
+              nullptr);
+    ASSERT_TRUE(executor_->Unregister(name).ok());
+  }
+  EXPECT_EQ(registry.HistogramNames().size(), histograms);
+
+  // A re-registered name starts from an empty distribution.
+  const std::string step_ns = "serena.executor.query.again.step_ns";
+  auto again = [] {
+    return std::make_shared<ContinuousQuery>("again",
+                                             Window("temperatures", 1));
+  };
+  ASSERT_TRUE(executor_->Register(again()).ok());
+  executor_->Run(3);
+  ASSERT_NE(registry.FindHistogram(step_ns), nullptr);
+  EXPECT_EQ(registry.FindHistogram(step_ns)->count(), 3u);
+  ASSERT_TRUE(executor_->Unregister("again").ok());
+  ASSERT_TRUE(executor_->Register(again()).ok());
+  executor_->Run(1);
+  ASSERT_NE(registry.FindHistogram(step_ns), nullptr);
+  EXPECT_EQ(registry.FindHistogram(step_ns)->count(), 1u);
+  registry.set_enabled(was_enabled);
+}
+
 TEST_F(ContinuousTest, StreamHistoryIsPruned) {
   auto w2 = std::make_shared<ContinuousQuery>("w2",
                                               Window("temperatures", 2));

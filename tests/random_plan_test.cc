@@ -3,9 +3,11 @@
 #include "common/random.h"
 #include "ddl/algebra_parser.h"
 #include "env/scenario.h"
+#include "optimizer/pipeline.h"
 #include "rewrite/equivalence.h"
 #include "rewrite/rewriter.h"
 #include "stream/continuous_query.h"
+#include "tests/fingerprint_oracle.h"
 
 namespace serena {
 namespace {
@@ -17,7 +19,9 @@ namespace {
 ///   2. ToString → ParseAlgebra round-trips;
 ///   3. the optimizer's output is Def. 9-equivalent and never costlier;
 ///   4. for stream-free plans, continuous Step == one-shot Execute over a
-///      static environment at the same instant.
+///      static environment at the same instant;
+///   5. every node's cached fingerprint, before and after the optimizer
+///      pipeline, equals the uncached oracle.
 class RandomPlanTest : public ::testing::TestWithParam<std::uint64_t> {
  protected:
   void SetUp() override {
@@ -211,6 +215,17 @@ TEST_P(RandomPlanTest, ContinuousStepMatchesOneShotOnStaticEnvironment) {
     ASSERT_TRUE(one_shot.ok()) << plan->ToString();
     EXPECT_TRUE(stepped->SetEquals(one_shot->relation))
         << plan->ToString();
+  }
+}
+
+TEST_P(RandomPlanTest, CachedFingerprintsMatchUncachedOracle) {
+  const optimizer::Pipeline pipeline(&env(), &streams());
+  for (int round = 0; round < 6; ++round) {
+    PlanPtr plan = RandomPlan(1 + static_cast<int>(rng_->NextBounded(5)));
+    testing_oracle::ExpectCachedFingerprintsMatchOracle(plan);
+    auto optimized = pipeline.Optimize(plan, AnalysisContext::kOneShot);
+    ASSERT_TRUE(optimized.ok()) << plan->ToString();
+    testing_oracle::ExpectCachedFingerprintsMatchOracle(*optimized);
   }
 }
 

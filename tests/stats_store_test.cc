@@ -1,18 +1,24 @@
 // Tests for the runtime statistics store: fingerprint stability across
 // plan instances, RecordPlan aggregation (including the rows_in
 // derivation from children), the JSON persistence roundtrip into the
-// baseline map, and Clear() semantics.
+// baseline map, Clear() semantics, and concurrent first-use
+// fingerprinting plus recording on one shared plan.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cctype>
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "algebra/plan.h"
 #include "ddl/algebra_parser.h"
+#include "obs/metrics.h"
 #include "obs/stats.h"
+#include "tests/fingerprint_oracle.h"
 
 namespace serena {
 namespace obs {
@@ -178,6 +184,94 @@ TEST_F(StatsStoreTest, ClearDropsLiveRecordsButKeepsBaseline) {
   EXPECT_EQ(store.size(), 0u);
   EXPECT_TRUE(store.has_baseline());
   EXPECT_TRUE(store.FindBaseline(OperatorFingerprint(*plan)).has_value());
+}
+
+TEST_F(StatsStoreTest, ConcurrentFirstFingerprintAndRecordPlan) {
+  // Several threads race the first fingerprint of every node of one
+  // shared plan and record it concurrently: each node renders exactly
+  // once, every thread sees the oracle value, and no merge is lost.
+  const PlanPtr plan = MustParse(
+      "project[location](select[temperature > 30](join(window[5](readings), "
+      "sensors)))");
+  std::vector<const PlanNode*> nodes;
+  for (std::vector<const PlanNode*> pending = {plan.get()};
+       !pending.empty();) {
+    const PlanNode* node = pending.back();
+    pending.pop_back();
+    nodes.push_back(node);
+    for (const PlanPtr& child : node->children()) {
+      pending.push_back(child.get());
+    }
+  }
+  ASSERT_EQ(nodes.size(), 5u);
+  PlanStatsCollector collector;
+  for (const PlanNode* node : nodes) {
+    collector.StatsFor(node).evals = 1;
+    collector.StatsFor(node).rows_out = 2;
+  }
+
+  Counter& renders = MetricsRegistry::Global().GetCounter(
+      "serena.stats.fingerprint_renders");
+  const std::uint64_t renders_before = renders.value();
+  StatsStore store;
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 50;
+  std::atomic<int> ready{0};
+  std::vector<std::vector<std::string>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      // Alternate directions so threads collide on different nodes first.
+      for (std::size_t i = 0; i < nodes.size(); ++i) {
+        const std::size_t k = t % 2 == 0 ? i : nodes.size() - 1 - i;
+        seen[t].push_back(OperatorFingerprint(*nodes[k]));
+      }
+      for (int round = 0; round < kRounds; ++round) {
+        store.RecordPlan(*plan, collector);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(renders.value() - renders_before, nodes.size());
+  for (int t = 0; t < kThreads; ++t) {
+    std::vector<std::string> expected;
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      const std::size_t k = t % 2 == 0 ? i : nodes.size() - 1 - i;
+      expected.push_back(testing_oracle::UncachedFingerprint(*nodes[k]));
+    }
+    EXPECT_EQ(seen[t], expected);
+  }
+  EXPECT_EQ(store.size(), nodes.size());
+  for (const PlanNode* node : nodes) {
+    const std::optional<OperatorStats> stats =
+        store.Find(OperatorFingerprint(*node));
+    ASSERT_TRUE(stats.has_value());
+    EXPECT_EQ(stats->evals, std::uint64_t{kThreads * kRounds});
+    EXPECT_EQ(stats->rows_out, std::uint64_t{2 * kThreads * kRounds});
+  }
+}
+
+TEST_F(StatsStoreTest, LookupsRejectNonFingerprintKeys) {
+  const PlanPtr plan = MustParse("window[3](s)");
+  StatsStore store;
+  PlanStatsCollector collector;
+  collector.StatsFor(plan.get()).evals = 1;
+  store.RecordPlan(*plan, collector);
+  const std::string key = OperatorFingerprint(*plan);
+  ASSERT_TRUE(store.Find(key).has_value());
+  std::string upper = key;
+  for (char& c : upper) c = static_cast<char>(std::toupper(c));
+  for (const std::string& bogus :
+       {std::string(), std::string("abc"), key + "0", key.substr(1) + "g"}) {
+    EXPECT_FALSE(store.Find(bogus).has_value()) << bogus;
+  }
+  if (upper != key) {
+    EXPECT_FALSE(store.Find(upper).has_value());
+  }
 }
 
 TEST_F(StatsStoreTest, LoadBaselineRejectsMalformedJson) {

@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "common/random.h"
+
 #include "types/tuple.h"
 
 namespace serena {
@@ -72,6 +81,42 @@ TEST(ValueTest, ToStringForms) {
   EXPECT_EQ(Value::Real(35.5).ToString(), "35.5");
   EXPECT_EQ(Value::String("hi").ToString(), "'hi'");
   EXPECT_EQ(Value::BlobValue(Blob(10)).ToString(), "<blob:10>");
+}
+
+TEST(ValueTest, RealToStringMatchesPrintfG) {
+  // printf's "%g" is the oracle the REAL rendering must reproduce byte
+  // for byte: plan fingerprints hash rendered constants, and committed
+  // statistics files and baselines carry those fingerprints.
+  auto printf_g = [](double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%g", v);
+    return std::string(buf);
+  };
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 0.1, 35.5, 99.9, 1e-5, 1e-4, 123456.0,
+      1234567.0, 999999.5, 9999995.0, 1e300, -1e-300,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::max(), std::numeric_limits<double>::min()};
+  Rng rng(2010);
+  for (int i = 0; i < 100000; ++i) {
+    const std::uint64_t bits = rng.NextUint64();
+    double v;
+    std::memcpy(&v, &bits, sizeof(v));
+    values.push_back(v);
+    // Decimal constants as written in queries, around rounding ties.
+    const double decimal =
+        static_cast<double>(rng.NextInt(-1000000, 1000000)) /
+        std::pow(10.0, static_cast<double>(rng.NextInt(0, 11)));
+    values.push_back(decimal);
+    values.push_back(std::nextafter(decimal, 0.0));
+    values.push_back(std::nextafter(decimal, 1e308));
+  }
+  for (const double v : values) {
+    ASSERT_EQ(Value::Real(v).ToString(), printf_g(v)) << std::hexfloat << v;
+  }
 }
 
 TEST(ValueTest, ParseLiterals) {
